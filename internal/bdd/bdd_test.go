@@ -554,6 +554,51 @@ func TestSharedNodeCount(t *testing.T) {
 	}
 }
 
+// mapNodeCount is the reference node count: the map-based visited set
+// NodeCount and SharedNodeCount used before the bitset.
+func mapNodeCount(k *bdd.Kernel, roots ...bdd.Ref) int {
+	seen := make(map[bdd.Ref]bool)
+	var stack []bdd.Ref
+	push := func(g bdd.Ref) {
+		if g != bdd.Invalid && !k.IsTerminal(g) && !seen[g] {
+			seen[g] = true
+			stack = append(stack, g)
+		}
+	}
+	for _, f := range roots {
+		push(f)
+	}
+	for len(stack) > 0 {
+		g := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		push(k.Low(g))
+		push(k.High(g))
+	}
+	return len(seen)
+}
+
+func TestNodeCountMatchesMapReference(t *testing.T) {
+	const nv = 10
+	rng := rand.New(rand.NewSource(37))
+	k := bdd.New(bdd.Config{Vars: nv})
+	var roots []bdd.Ref
+	for trial := 0; trial < 200; trial++ {
+		f := randExpr(rng, nv, 24).build(k)
+		k.Protect(f) // keep earlier roots alive across GCs
+		roots = append(roots, f)
+		if got, want := k.NodeCount(f), mapNodeCount(k, f); got != want {
+			t.Fatalf("trial %d: NodeCount = %d, map reference %d", trial, got, want)
+		}
+		some := roots[rng.Intn(len(roots)):]
+		if got, want := k.SharedNodeCount(some...), mapNodeCount(k, some...); got != want {
+			t.Fatalf("trial %d: SharedNodeCount over %d roots = %d, map reference %d", trial, len(some), got, want)
+		}
+	}
+	if k.NodeCount(bdd.True) != 0 || k.NodeCount(bdd.Invalid) != 0 || k.SharedNodeCount() != 0 {
+		t.Fatal("terminals, Invalid and no roots must count zero nodes")
+	}
+}
+
 func TestBudgetAbort(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: 40, NodeBudget: 64})
 	// Parity needs only 2n-1 nodes, fine. A random dense function explodes.

@@ -384,3 +384,60 @@ func TestChainedCanonicalBlockRename(t *testing.T) {
 		t.Fatalf("expected 4 violation witnesses, got %d: %v", len(ws), ws)
 	}
 }
+
+// TestDeleteKeepsSurvivingProjectionsPerIndex covers bag semantics across
+// several indices of one table: deleting a tuple must remove its projection
+// from an index where no other row shares it, and keep it in an index where
+// a different row still projects onto the same values.
+func TestDeleteKeepsSurvivingProjectionsPerIndex(t *testing.T) {
+	cat := relation.NewCatalog()
+	cust, err := cat.CreateTable("CUST", []relation.Column{{Name: "city"}, {Name: "areacode"}, {Name: "state"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]string{
+		{"Toronto", "416", "Ontario"},
+		{"Toronto", "647", "Ontario"},
+		{"Newark", "973", "NJ"},
+	} {
+		cust.Insert(row...)
+	}
+	chk := core.New(cat, core.Options{})
+	cs, err := chk.BuildIndex("CS", "CUST", []string{"city", "state"}, core.OrderSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := chk.BuildIndex("CA", "CUST", []string{"city", "areacode"}, core.OrderSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := func(col int, v string) int32 {
+		c, ok := cust.ColumnDomain(col).Code(v)
+		if !ok {
+			t.Fatalf("value %q not interned", v)
+		}
+		return c
+	}
+	deleted := []int32{code(0, "Toronto"), code(1, "416"), code(2, "Ontario")}
+	if err := chk.DeleteTuple("CUST", "Toronto", "416", "Ontario"); err != nil {
+		t.Fatal(err)
+	}
+	// (Toronto, Ontario) survives through the 647 row; (Toronto, 416) has no
+	// other row.
+	if !cs.Contains(deleted) {
+		t.Fatal("CS lost (Toronto, Ontario) although another row still projects onto it")
+	}
+	if ca.Contains(deleted) {
+		t.Fatal("CA kept (Toronto, 416) although no row projects onto it any more")
+	}
+	// Deleting the last Toronto row removes the projection from CS too.
+	if err := chk.DeleteTuple("CUST", "Toronto", "647", "Ontario"); err != nil {
+		t.Fatal(err)
+	}
+	if cs.Contains(deleted) {
+		t.Fatal("CS kept (Toronto, Ontario) after its last row was deleted")
+	}
+	if !ca.Contains([]int32{code(0, "Newark"), code(1, "973"), code(2, "NJ")}) {
+		t.Fatal("CA lost an untouched row")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/bdd"
 	"repro/internal/core"
@@ -28,7 +29,8 @@ import (
 // sides bind, since prenexing can fold deeper universals into the BDD's
 // leading block that the SQL compiler leaves quantified). Each update batch
 // is applied through the incremental maintenance path and the whole
-// comparison repeats against a freshly frozen replica.
+// comparison repeats against a freshly frozen replica, and against a
+// long-lived replica that catches up by applying the batch (pool.go).
 
 // witnessLimit bounds witness enumeration; a truncated enumeration is not
 // compared (the two engines may truncate different subsets).
@@ -80,44 +82,9 @@ func (m *Mismatch) String() string {
 // matters to the shrinker, which must not mistake a candidate that broke
 // the harness for one that still reproduces a divergence.
 func RunCase(c *Case) (*Mismatch, error) {
-	method, err := core.ParseOrderingMethod(c.Ordering)
-	if err != nil {
-		return nil, fmt.Errorf("difftest: %w", err)
-	}
-	cat, err := c.Build()
+	primary, cts, err := buildCase(c)
 	if err != nil {
 		return nil, err
-	}
-	// An empty dictionary cannot become a BDD block (fdd panics on size-0
-	// domains); the generator always interns values, but shrink candidates
-	// can strip a domain bare. Reject such cases as hard errors.
-	for _, ts := range c.Tables {
-		t := cat.Table(ts.Name)
-		for i := 0; i < t.NumCols(); i++ {
-			if t.ColumnDomain(i).Size() == 0 {
-				return nil, fmt.Errorf("difftest: table %s column %d has an empty dictionary", ts.Name, i)
-			}
-		}
-	}
-	primary := core.New(cat, core.Options{NodeBudget: -1, RandomSeed: c.Seed})
-	if DebugChecks {
-		primary.Store().Kernel().SetDebugChecks(true)
-	}
-	for _, ts := range c.Tables {
-		// The index carries the table's name: the evaluator resolves a
-		// predicate to the index of the same name, and nil cols means the
-		// full column set.
-		if _, err := primary.BuildIndex(ts.Name, ts.Name, nil, method); err != nil {
-			return nil, fmt.Errorf("difftest: building index for %s: %w", ts.Name, err)
-		}
-	}
-	cts := make([]logic.Constraint, len(c.Constraints))
-	for i, cs := range c.Constraints {
-		f, err := logic.Parse(cs.Source)
-		if err != nil {
-			return nil, fmt.Errorf("difftest: parsing %s: %w", cs.Name, err)
-		}
-		cts[i] = logic.Constraint{Name: cs.Name, F: f}
 	}
 	if ForceReorder {
 		primary.Reorder(bdd.ReorderOptions{})
@@ -135,6 +102,14 @@ func RunCase(c *Case) (*Mismatch, error) {
 			return mm, err
 		}
 	}
+	lr, err := newPoolOracle(primary, fol)
+	if err != nil {
+		return nil, err
+	}
+	defer lr.close()
+	if mm, err := lr.check(primary, cts, 0); mm != nil || err != nil {
+		return mm, err
+	}
 	var shardO *shardOracle
 	if ShardSoak > 0 {
 		if shardO, err = newShardOracle(c, cts); err != nil {
@@ -146,13 +121,22 @@ func RunCase(c *Case) (*Mismatch, error) {
 		}
 	}
 	for i, batch := range c.Updates {
+		applyStart := time.Now()
 		if _, err := primary.Apply(batch); err != nil {
 			return nil, fmt.Errorf("difftest: applying batch %d: %w", i+1, err)
 		}
+		applyCost := time.Since(applyStart)
 		if ForceReorder {
 			primary.Reorder(bdd.ReorderOptions{})
 		}
 		if mm, err := checkAll(primary, cts, i+1); mm != nil || err != nil {
+			return mm, err
+		}
+		// Batch i+1 lands at epoch i+2; epoch 1 is the initial load.
+		if err := lr.advance(uint64(i)+2, batch, applyCost, ForceReorder); err != nil {
+			return nil, err
+		}
+		if mm, err := lr.check(primary, cts, i+1); mm != nil || err != nil {
 			return mm, err
 		}
 		if fol != nil {
@@ -178,6 +162,52 @@ func RunCase(c *Case) (*Mismatch, error) {
 		}
 	}
 	return nil, nil
+}
+
+// buildCase builds the case's catalog, indexes every table under its own
+// name on a primary with an unlimited node budget, and parses the
+// constraints.
+func buildCase(c *Case) (*core.Checker, []logic.Constraint, error) {
+	method, err := core.ParseOrderingMethod(c.Ordering)
+	if err != nil {
+		return nil, nil, fmt.Errorf("difftest: %w", err)
+	}
+	cat, err := c.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	// An empty dictionary cannot become a BDD block (fdd panics on size-0
+	// domains); the generator always interns values, but shrink candidates
+	// can strip a domain bare. Reject such cases as hard errors.
+	for _, ts := range c.Tables {
+		t := cat.Table(ts.Name)
+		for i := 0; i < t.NumCols(); i++ {
+			if t.ColumnDomain(i).Size() == 0 {
+				return nil, nil, fmt.Errorf("difftest: table %s column %d has an empty dictionary", ts.Name, i)
+			}
+		}
+	}
+	primary := core.New(cat, core.Options{NodeBudget: -1, RandomSeed: c.Seed})
+	if DebugChecks {
+		primary.Store().Kernel().SetDebugChecks(true)
+	}
+	for _, ts := range c.Tables {
+		// The index carries the table's name: the evaluator resolves a
+		// predicate to the index of the same name, and nil cols means the
+		// full column set.
+		if _, err := primary.BuildIndex(ts.Name, ts.Name, nil, method); err != nil {
+			return nil, nil, fmt.Errorf("difftest: building index for %s: %w", ts.Name, err)
+		}
+	}
+	cts := make([]logic.Constraint, len(c.Constraints))
+	for i, cs := range c.Constraints {
+		f, err := logic.Parse(cs.Source)
+		if err != nil {
+			return nil, nil, fmt.Errorf("difftest: parsing %s: %w", cs.Name, err)
+		}
+		cts[i] = logic.Constraint{Name: cs.Name, F: f}
+	}
+	return primary, cts, nil
 }
 
 // freeze snapshots the primary into a fresh read replica, the same pattern

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/logic"
@@ -281,5 +282,198 @@ func TestDoRespectsContext(t *testing.T) {
 	// submissions against a blocked worker some must take the ctx branch.
 	if canceled == 0 {
 		t.Log("no submission observed the canceled context (queue drained fast); still no deadlock")
+	}
+}
+
+// njToggle is the update that makes testRules violated (insert) or holding
+// again (delete).
+func njToggle(op core.UpdateOp) []core.Update {
+	return []core.Update{{Table: "CUST", Op: op, Values: []string{"Newark", "416", "NJ"}}}
+}
+
+// advance applies ups to the primary and extends the chain by them.
+func advance(t *testing.T, primary *core.Checker, v *replica.Version, epoch uint64, ups []core.Update, cost time.Duration) *replica.Version {
+	t.Helper()
+	if _, err := primary.Apply(ups); err != nil {
+		t.Fatal(err)
+	}
+	nv, err := v.Advance(primary, epoch, ups, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nv
+}
+
+// checkAt runs the constraint on the pool and returns the verdict, failing
+// the test unless the job ran at epoch want.
+func checkAt(t *testing.T, pool *replica.Pool, ct logic.Constraint, want uint64) bool {
+	t.Helper()
+	var res core.Result
+	var got uint64
+	if err := pool.Do(context.Background(), func(chk *core.Checker, epoch uint64) {
+		got = epoch
+		res = chk.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("job ran at epoch %d, want %d", got, want)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	return res.Violated
+}
+
+// TestWarmReplicaCatchesUpByDeltas: a worker that holds a checker reaches
+// newer epochs by applying their updates, without adopting a base again,
+// and the chain's rebases do not force it to re-adopt either.
+func TestWarmReplicaCatchesUpByDeltas(t *testing.T) {
+	primary, ct := newPrimary(t)
+	v, err := replica.NewVersion(primary, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := replica.New(1, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if checkAt(t, pool, ct, 1) {
+		t.Fatal("epoch 1 must hold")
+	}
+	for epoch := uint64(2); epoch <= 9; epoch++ {
+		op, cost := core.UpdateDelete, time.Duration(0)
+		if epoch%2 == 0 {
+			op = core.UpdateInsert
+		}
+		if epoch%3 == 0 {
+			cost = time.Hour // past any freeze time: this version rebases
+		}
+		v = advance(t, primary, v, epoch, njToggle(op), cost)
+		pool.Publish(v)
+		if got := checkAt(t, pool, ct, epoch); got != (epoch%2 == 0) {
+			t.Fatalf("epoch %d: violated=%v", epoch, got)
+		}
+	}
+	if got := pool.Adoptions(); got != 1 {
+		t.Fatalf("adoptions = %d, want 1 (the first materialization only)", got)
+	}
+	if got := pool.CatchupTuples(); got != 8 {
+		t.Fatalf("catch-up tuples = %d, want 8", got)
+	}
+	if got := pool.Swaps(); got != 9 {
+		t.Fatalf("swaps = %d, want 9", got)
+	}
+
+	// A cold pool over the same chain adopts the latest base (frozen at the
+	// epoch-9 rebase) and replays nothing.
+	cold, err := replica.New(1, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	if checkAt(t, cold, ct, 9) {
+		t.Fatal("epoch 9 must hold on a cold replica")
+	}
+	if cold.Adoptions() != 1 || cold.CatchupTuples() != 0 {
+		t.Fatalf("cold pool: adoptions %d, catch-up tuples %d; want 1 and 0", cold.Adoptions(), cold.CatchupTuples())
+	}
+}
+
+// TestColdReplicaReplaysChainFromBase: a worker materializing after several
+// delta-only versions adopts the base and replays every update since it.
+func TestColdReplicaReplaysChainFromBase(t *testing.T) {
+	primary, ct := newPrimary(t)
+	v, err := replica.NewVersion(primary, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = advance(t, primary, v, 2, njToggle(core.UpdateInsert), 0)
+	v = advance(t, primary, v, 3, njToggle(core.UpdateDelete), 0)
+	v = advance(t, primary, v, 4, njToggle(core.UpdateInsert), 0)
+	pool, err := replica.New(1, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if !checkAt(t, pool, ct, 4) {
+		t.Fatal("epoch 4 must be violated")
+	}
+	if pool.Adoptions() != 1 || pool.CatchupTuples() != 3 {
+		t.Fatalf("adoptions %d, catch-up tuples %d; want 1 and 3", pool.Adoptions(), pool.CatchupTuples())
+	}
+}
+
+// TestFailedCatchUpNeverServesStale is the read-your-writes regression: when
+// a worker cannot reach the latest version, the job fails (the service then
+// reroutes it to the primary) instead of running on the older version the
+// worker still holds, which would hide an acknowledged update.
+func TestFailedCatchUpNeverServesStale(t *testing.T) {
+	primary, ct := newPrimary(t)
+	v1, err := replica.NewVersion(primary, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := replica.New(1, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if checkAt(t, pool, ct, 1) {
+		t.Fatal("epoch 1 must hold")
+	}
+	// Epoch 2 carries an update no replica can apply (the tuple is not in
+	// the table): both the delta catch-up and the re-adoption from the base
+	// fail.
+	bad, err := v1.Advance(primary, 2, []core.Update{{Table: "CUST", Op: core.UpdateDelete, Values: []string{"Oshawa", "416", "NJ"}}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Publish(bad)
+	ran := false
+	err = pool.Do(context.Background(), func(*core.Checker, uint64) { ran = true })
+	if err == nil || ran {
+		t.Fatalf("Do = %v (job ran: %v); want a catch-up error and no run at the stale epoch", err, ran)
+	}
+	// A good version published over a fresh base brings the worker back.
+	if err := primary.InsertTuple("CUST", "Newark", "416", "NJ"); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := replica.NewVersion(primary, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Publish(v3)
+	if !checkAt(t, pool, ct, 3) {
+		t.Fatal("epoch 3 must be violated")
+	}
+}
+
+// TestChainTrimmedBehindPreviousBase: each rebase cuts the chain behind the
+// previous base, so a worker idle for longer than that no longer finds its
+// version on the chain and re-adopts.
+func TestChainTrimmedBehindPreviousBase(t *testing.T) {
+	primary, ct := newPrimary(t)
+	v, err := replica.NewVersion(primary, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := replica.New(1, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	checkAt(t, pool, ct, 1)
+	// Two rebases: the second cuts the chain behind the first, which is
+	// past the worker's epoch 1.
+	v = advance(t, primary, v, 2, njToggle(core.UpdateInsert), time.Hour)
+	v = advance(t, primary, v, 3, njToggle(core.UpdateDelete), time.Hour)
+	pool.Publish(v)
+	if checkAt(t, pool, ct, 3) {
+		t.Fatal("epoch 3 must hold")
+	}
+	if pool.Adoptions() != 2 {
+		t.Fatalf("adoptions = %d, want 2 (the worker fell off the trimmed chain)", pool.Adoptions())
 	}
 }

@@ -380,9 +380,10 @@ func (s *Server) applyRepl(j *replJob) {
 // applyTailed applies tailed records the way the leader's applyBatch did:
 // all records of one leader epoch merge into one Apply and one local WAL
 // record (log-before-advance, so a follower crash leaves whole epochs only),
-// the frozen version publishes to the replica pool, and only then does the
-// epoch become visible. A failed apply or append stops at the last good
-// epoch and reports the error — the tail loop re-bootstraps.
+// the epoch's updates extend the replica pool's version chain, and only then
+// does the epoch become visible. A failed apply or append stops at the last
+// good epoch and reports the error — the tail loop re-bootstraps, and the
+// reload publishes a fresh base.
 func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult {
 	s.nBatches.Add(1)
 	cur := s.epoch.Load()
@@ -397,8 +398,10 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 		}
 		applyStart := time.Now()
 		applied, err := s.chk.Apply(merged)
-		s.metrics.stApply.Observe(time.Since(applyStart))
+		applyCost := time.Since(applyStart)
+		s.metrics.stApply.Observe(applyCost)
 		if err != nil {
+			s.ver = nil // the checker is partly updated: no delta describes it
 			return replResult{epoch: cur, err: fmt.Errorf("service: replicating epoch %d: tuple %d/%d: %w", epoch, applied, len(merged), err)}
 		}
 		s.nUpdateTuples.Add(uint64(applied))
@@ -406,7 +409,7 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 			s.nWALErrors.Add(1)
 			return replResult{epoch: cur, err: fmt.Errorf("service: logging replicated epoch %d: %w", epoch, err)}
 		}
-		s.publishVersion(epoch)
+		s.publishVersion(epoch, merged, applyCost, false)
 		s.epoch.Store(epoch)
 		s.epochSig.bump()
 		s.maybeSnapshot(epoch)
@@ -416,7 +419,7 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 		// Leader rounds that applied zero tuples leave no record; the poll
 		// response vouches that nothing is missing up to its epoch, so adopt
 		// it — convergence stays observable through /statsz.
-		s.publishVersion(confirmed)
+		s.publishVersion(confirmed, nil, 0, false)
 		s.epoch.Store(confirmed)
 		s.epochSig.bump()
 		cur = confirmed
@@ -426,8 +429,9 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 }
 
 // reloadFromStore rebuilds the worker's checker from the local store (fresh
-// snapshot plus any WAL tail) and swaps it in. The old kernel is abandoned
-// wholesale; in-flight replica reads finish on their frozen versions.
+// snapshot plus any WAL tail) and swaps it in, publishing it as a fresh base
+// every replica adopts. The old kernel is abandoned wholesale; in-flight
+// replica reads finish on the versions they started with.
 func (s *Server) reloadFromStore() replResult {
 	chk, _, info, err := s.st.Recover(s.coreOpts)
 	if err != nil {
@@ -439,7 +443,7 @@ func (s *Server) reloadFromStore() replResult {
 	if epoch == 0 {
 		epoch = 1
 	}
-	s.publishVersion(epoch)
+	s.publishVersion(epoch, nil, 0, true)
 	s.publish(true)
 	s.epoch.Store(epoch)
 	s.epochSig.bump()

@@ -170,8 +170,15 @@ type ReplicationStats struct {
 	Replicas int `json:"replicas"`
 	// Epoch is the latest published index version.
 	Epoch uint64 `json:"epoch"`
-	// Swaps counts completed version handoffs across all workers.
+	// Swaps counts completed version handoffs across all workers, whether by
+	// delta catch-up or by adoption.
 	Swaps uint64 `json:"swaps"`
+	// Adoptions counts handoffs that materialized a worker's checker from a
+	// full frozen base (first use, after a reset, after a failed catch-up);
+	// CatchupTuples counts the update tuples workers applied to reach newer
+	// versions.
+	Adoptions     uint64 `json:"adoptions"`
+	CatchupTuples uint64 `json:"catchup_tuples"`
 	// ReplicaChecks and ReplicaWitnesses count requests served by the pool;
 	// Reroutes counts constraints bounced to the primary for SQL fallback.
 	ReplicaChecks    uint64 `json:"replica_checks"`
@@ -556,6 +563,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		repl.Replicas = s.pool.Size()
 		repl.Epoch = s.pool.Epoch()
 		repl.Swaps = s.pool.Swaps()
+		repl.Adoptions = s.pool.Adoptions()
+		repl.CatchupTuples = s.pool.CatchupTuples()
 		for _, ws := range s.pool.Stats() {
 			wk := KernelStats{
 				LiveNodes:      ws.Kernel.Live,

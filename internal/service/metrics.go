@@ -166,6 +166,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		r.GaugeFunc("cv_replica_epoch", "", "Latest published index version epoch.",
 			func() float64 { return float64(pool.Epoch()) })
 		r.CounterFunc("cv_replica_swaps_total", "", "Version handoffs completed by replica workers.", pool.Swaps)
+		r.CounterFunc("cv_replica_adoptions_total", "", "Replica checkers materialized from a full frozen base.", pool.Adoptions)
+		r.CounterFunc("cv_replica_catchup_tuples_total", "", "Update tuples replica workers applied to catch up to newer versions.", pool.CatchupTuples)
 		r.CounterFunc("cv_replica_checks_total", "", "Check requests served on the replica pool.", s.nReplicaChecks.Load)
 		r.CounterFunc("cv_replica_witnesses_total", "", "Witness requests served on the replica pool.", s.nReplicaWitness.Load)
 		r.CounterFunc("cv_replica_reroutes_total", "", "Constraints rerouted from a replica to the primary for SQL fallback.", s.nReroutes.Load)

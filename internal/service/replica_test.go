@@ -8,6 +8,7 @@ package service_test
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,6 +89,50 @@ func TestStatszReportsReplication(t *testing.T) {
 	// 2 full checks × 2 constraints, all decided without SQL.
 	if stats.Checker.BDDChecks < 4 {
 		t.Fatalf("aggregated BDD checks = %d, want ≥ 4", stats.Checker.BDDChecks)
+	}
+}
+
+// TestReplicaCatchUpCounters: a warm replica reaches each acknowledged
+// epoch by applying that batch's tuples, so after its first materialization
+// it never adopts a full copy again, and /statsz and /metricsz count both
+// kinds of handoff.
+func TestReplicaCatchUpCounters(t *testing.T) {
+	_, ts := newTestServer(t, service.Options{Replicas: 1})
+	toggle := []string{"Toronto", "416", "NJ"}
+	for i := 0; i < 5; i++ {
+		if i > 0 {
+			op := "insert"
+			if i%2 == 0 {
+				op = "delete"
+			}
+			var ur service.UpdateResponse
+			if st := post(t, ts.URL+"/update", service.UpdateRequest{Updates: []service.UpdateTuple{
+				{Table: "CUST", Op: op, Values: toggle},
+			}}, &ur); st != http.StatusOK || ur.Applied != 1 {
+				t.Fatalf("update %d: status %d, %+v", i, st, ur)
+			}
+		}
+		var resp service.CheckResponse
+		if st := post(t, ts.URL+"/check", service.CheckRequest{Constraints: []string{"toronto_ontario"}}, &resp); st != http.StatusOK {
+			t.Fatalf("check %d: status %d", i, st)
+		}
+		if got, want := resultsByName(t, resp)["toronto_ontario"].Violated, i%2 == 1; got != want {
+			t.Fatalf("check %d: violated=%v, want %v", i, got, want)
+		}
+	}
+	var stats service.StatszResponse
+	if st := get(t, ts.URL+"/statsz", &stats); st != http.StatusOK {
+		t.Fatalf("statsz status %d", st)
+	}
+	repl := stats.Replication
+	if repl.Swaps != 5 || repl.Adoptions != 1 || repl.CatchupTuples != 4 {
+		t.Fatalf("swaps %d, adoptions %d, catch-up tuples %d; want 5, 1, 4", repl.Swaps, repl.Adoptions, repl.CatchupTuples)
+	}
+	body := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{"cv_replica_adoptions_total 1\n", "cv_replica_catchup_tuples_total 4\n"} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metricsz lacks %q", want)
+		}
 	}
 }
 

@@ -21,10 +21,13 @@
 // GOMAXPROCS), /check and /witnesses are served by a pool of replicated
 // read-only checkers (internal/replica), each owning a private BDD kernel,
 // so reads scale across cores. The primary worker keeps exclusive
-// ownership of writes: after each update batch it freezes an immutable
-// index version and publishes it to the pool *before* acknowledging the
-// batch, so an acked update is visible to every subsequently submitted
-// check, exactly as in the single-worker model. Checks that need the SQL
+// ownership of writes: after each update batch it publishes the next index
+// version to the pool *before* acknowledging the batch, so an acked update
+// is visible to every subsequently submitted check, exactly as in the
+// single-worker model. A version carries the batch's applied updates, and
+// each replica catches up by applying them to its own checker; a full
+// frozen copy is taken only at bootstrap, after a reorder or a failed
+// round, and periodically to bound the chain. Checks that need the SQL
 // fallback (missing index, blown budget) are rerouted from the replica to
 // the primary worker, which sees the live tables.
 package service
@@ -113,8 +116,8 @@ type Options struct {
 	// Reorder enables dynamic variable reordering: between update batches the
 	// worker sifts the kernel's variable order when the live-node count has
 	// grown past ReorderGrowth × the post-reorder baseline, then publishes
-	// the compacted kernel as the round's epoch through the usual freeze
-	// path, so readers swap to it with zero downtime.
+	// the compacted kernel as the round's epoch as a fresh frozen base that
+	// every replica adopts, so readers swap to it with zero downtime.
 	Reorder bool
 	// ReorderGrowth is the trigger factor; core.ReorderGrowthDefault when
 	// zero or below 1.
@@ -221,6 +224,10 @@ type Server struct {
 	pool      *replica.Pool
 	replicaOK atomic.Bool
 	epoch     atomic.Uint64
+	// ver is the last version published to the pool, which the next round
+	// extends by its updates; nil (worker-owned) when there is no chain to
+	// extend, so the next publication freezes a fresh base.
+	ver *replica.Version
 
 	// Durability. st is nil when no data directory is configured.
 	// constraintText is the rendered registry persisted in every snapshot;
@@ -370,7 +377,7 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 		// path instead of failing the server.
 		if v, err := replica.NewVersion(chk, initialEpoch); err == nil {
 			if pool, err := replica.New(s.opts.Replicas, v); err == nil {
-				s.pool = pool
+				s.pool, s.ver = pool, v
 				s.replicaOK.Store(true)
 			}
 		}
@@ -509,6 +516,13 @@ func (s *Server) applyBatch(batch []*updateJob) {
 	k := s.chk.Store().Kernel()
 	epoch := s.epoch.Load() + 1
 	replies := make([]updateReply, len(batch))
+	// The round's updates for the replicas: each job's applied prefix, exactly
+	// what the WAL records. A failed Apply may have left the primary partly
+	// changed by the failing tuple (its table row, some of its indices),
+	// which no delta describes, so replicas then adopt a full copy instead.
+	var roundUps []core.Update
+	var applyCost time.Duration
+	reset := false
 	for i, u := range batch {
 		if err := u.ctx.Err(); err != nil {
 			s.nDeadlineRejects.Add(1)
@@ -528,6 +542,9 @@ func (s *Server) applyBatch(batch []*updateJob) {
 		delta := k.Stats().DeltaSince(before)
 		u.trace.Record("apply", applyStart, d, &delta)
 		s.nUpdateTuples.Add(uint64(applied))
+		roundUps = append(roundUps, u.ups[:applied]...)
+		applyCost += d
+		reset = reset || err != nil
 		if s.st != nil && applied > 0 {
 			walStart := time.Now()
 			werr := s.st.AppendBatch(epoch, u.ups[:applied])
@@ -546,12 +563,14 @@ func (s *Server) applyBatch(batch []*updateJob) {
 	}
 	// Between the batch and its freeze is the only safe point to reorganize
 	// the kernel: no check is running (the worker owns the kernel) and the
-	// compacted structure rides the very next epoch to replicas and
-	// snapshots. Readers keep answering on the previous version while the
-	// sift runs, so reads see no downtime, only old- or new-epoch answers.
+	// compacted structure rides the very next epoch, as a fresh base that
+	// every replica adopts, to replicas and snapshots. Readers keep answering
+	// on the previous version while the sift runs, so reads see no downtime,
+	// only old- or new-epoch answers.
 	if s.opts.Reorder {
 		reorderStart := time.Now()
 		if st, ran := s.chk.MaybeReorder(s.opts.ReorderGrowth, s.opts.ReorderMinNodes, bdd.ReorderOptions{}); ran {
+			reset = true
 			d := time.Since(reorderStart)
 			s.metrics.stReorder.Observe(d)
 			for _, u := range batch {
@@ -561,11 +580,11 @@ func (s *Server) applyBatch(batch []*updateJob) {
 				epoch, st.Before, st.After, st.Swaps, d)
 		}
 	}
-	// One freeze covers the whole coalesced round; every job in the batch
-	// waited on it, so each trace carries the span.
+	// One publication covers the whole coalesced round; every job in the
+	// batch waited on it, so each trace carries the span.
 	freezeStart := time.Now()
 	before := k.Stats()
-	s.publishVersion(epoch)
+	s.publishVersion(epoch, roundUps, applyCost, reset)
 	s.publish(true)
 	fd := time.Since(freezeStart)
 	s.metrics.stFreeze.Observe(fd)
@@ -581,19 +600,31 @@ func (s *Server) applyBatch(batch []*updateJob) {
 	}
 }
 
-// publishVersion freezes the checker's current indices as the given epoch
-// and hands them to the replica pool. Only the worker calls it. A failed
-// freeze routes reads back through the primary (replicaOK) rather than
-// serving stale data; the next successful freeze re-enables the pool.
-func (s *Server) publishVersion(epoch uint64) {
+// publishVersion hands the given epoch to the replica pool. Only the worker
+// calls it. delta holds the updates the primary applied since the last
+// published epoch, taking applyCost; replicas catch up by applying them
+// (replica.Version.Advance). With reset, or with no chain to extend, the
+// primary's indices are frozen as a fresh base that every replica adopts
+// instead. A failed freeze routes reads back through the primary
+// (replicaOK) rather than serving stale data; the next round then freezes
+// afresh and re-enables the pool.
+func (s *Server) publishVersion(epoch uint64, delta []core.Update, applyCost time.Duration, reset bool) {
 	if s.pool == nil {
 		return
 	}
-	v, err := replica.NewVersion(s.chk, epoch)
+	var v *replica.Version
+	var err error
+	if reset || s.ver == nil {
+		v, err = replica.NewVersion(s.chk, epoch)
+	} else {
+		v, err = s.ver.Advance(s.chk, epoch, delta, applyCost)
+	}
 	if err != nil {
+		s.ver = nil
 		s.replicaOK.Store(false)
 		return
 	}
+	s.ver = v
 	s.pool.Publish(v)
 	s.replicaOK.Store(true)
 }
